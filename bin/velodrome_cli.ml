@@ -4,11 +4,17 @@
    - list            benchmark workloads and their ground truth
    - run             run a workload under selected analyses
    - check           parse, statically check and analyze a .vel file
-   - analyze         static mover/lockset pre-pass (Lipton reduction)
+   - analyze         static pre-pass: Lipton reduction, conflict graph,
+                     value facts, races, predictions and the gates
    - predict         witness-guided predictive atomicity (forced replays)
+   - races           whole-program pairwise static race detection
+   - print           print a workload program in .vel form
    - record          record a workload (or .vel program) trace to a file
    - check-trace     replay a recorded trace (text or binary, --stream)
+   - serve           check many trace streams on a pool of domains
    - convert         convert traces between the text and binary formats
+   - minimize        shrink a non-serializable trace to a minimal witness
+   - fuzz            differential fuzzing of the engines and the oracle
    - table1          regenerate Table 1 (slowdowns, node statistics)
    - table2          regenerate Table 2 (warning classification)
    - study           adversarial-scheduling studies (coverage, injection)
@@ -80,34 +86,52 @@ let exits =
 (* Violations exit 1, so scripts and CI can gate on the status alone. *)
 let exit_violations = function [] -> () | _ :: _ -> exit 1
 
-let mk_backend names = function
-  | "velodrome" -> Some (Backend.make (Velodrome_core.Engine.backend ()) names)
-  | "velodrome-basic" ->
-    Some (Backend.make (Velodrome_core.Basic.backend ()) names)
-  | "aero" -> Some (Backend.make (Velodrome_core.Aero.backend ()) names)
-  | "atomizer" ->
-    Some (Backend.make (Velodrome_atomizer.Atomizer.backend ()) names)
-  | "eraser" -> Some (Backend.make (Velodrome_eraser.Eraser.backend ()) names)
-  | "hb" -> Some (Backend.make (Velodrome_hbrace.Hbrace.backend ()) names)
-  | "fasttrack" ->
-    Some (Backend.make (Velodrome_hbrace.Fasttrack.backend ()) names)
-  | "2pl" -> Some (Backend.make (Velodrome_twopl.Twopl.backend ()) names)
-  | "2pl-strict" ->
-    Some
-      (Backend.make
-         (Velodrome_twopl.Twopl.backend ~config:{ Velodrome_twopl.Twopl.strict = true } ())
-         names)
-  | "empty" -> Some (Backend.make (module Empty) names)
-  | _ -> None
+(* The one back-end name table: every subcommand that takes -a resolves
+   names here, and the --analysis help is generated from it. *)
+let backend_table =
+  [
+    ("velodrome", Backend.make (Velodrome_core.Engine.backend ()));
+    ("velodrome-basic", Backend.make (Velodrome_core.Basic.backend ()));
+    ("aero", Backend.make (Velodrome_core.Aero.backend ()));
+    ("atomizer", Backend.make (Velodrome_atomizer.Atomizer.backend ()));
+    ("eraser", Backend.make (Velodrome_eraser.Eraser.backend ()));
+    ("hb", Backend.make (Velodrome_hbrace.Hbrace.backend ()));
+    ("fasttrack", Backend.make (Velodrome_hbrace.Fasttrack.backend ()));
+    ("2pl", Backend.make (Velodrome_twopl.Twopl.backend ()));
+    ( "2pl-strict",
+      Backend.make
+        (Velodrome_twopl.Twopl.backend
+           ~config:{ Velodrome_twopl.Twopl.strict = true } ()) );
+    ("empty", Backend.make (module Empty));
+  ]
 
-let analyses_arg =
+(* Resolve -a names before any work starts: an unknown name is a usage
+   error (exit 2), never a silently skipped and so falsely clean
+   analysis. Returns one back-end constructor per name. *)
+let resolve_analyses analyses =
+  List.map
+    (fun a ->
+      match List.assoc_opt a backend_table with
+      | Some make -> (a, make)
+      | None ->
+        Printf.eprintf "unknown analysis %S\n" a;
+        exit 2)
+    analyses
+
+let make_backends resolved names =
+  List.map (fun (_, make) -> make names) resolved
+
+let analyses_arg_with default =
   Arg.(
     value
-    & opt (list string) [ "velodrome"; "atomizer" ]
+    & opt (list string) default
     & info [ "analysis"; "a"; "backend" ] ~docv:"LIST"
         ~doc:
-          "Comma-separated back-ends: velodrome, velodrome-basic, aero, \
-           atomizer, eraser, hb, fasttrack, empty.")
+          ("Comma-separated back-ends: "
+          ^ String.concat ", " (List.map fst backend_table)
+          ^ "."))
+
+let analyses_arg = analyses_arg_with [ "velodrome"; "atomizer" ]
 
 let spec_arg =
   Arg.(
@@ -198,6 +222,7 @@ let run_cmd =
       & info [ "dot" ] ~docv:"DIR" ~doc:"Write error graphs as dot files.")
   in
   let run name size seed adversarial analyses dot_dir spec =
+    let analyses = resolve_analyses analyses in
     match Workload.find name with
     | None ->
       Printf.eprintf "unknown workload %S\n" name;
@@ -206,15 +231,7 @@ let run_cmd =
       let program = w.Workload.build size in
       let names = program.Velodrome_sim.Ast.names in
       let backends =
-        List.filter_map
-          (fun a ->
-            match mk_backend names a with
-            | Some b -> Some b
-            | None ->
-              Printf.eprintf "unknown analysis %S (ignored)\n" a;
-              None)
-          analyses
-        |> apply_spec (load_spec spec) names
+        make_backends analyses names |> apply_spec (load_spec spec) names
       in
       let config =
         {
@@ -248,6 +265,7 @@ let check_cmd =
       & info [] ~docv:"FILE" ~doc:"A .vel program file.")
   in
   let run file seed adversarial analyses spec =
+    let analyses = resolve_analyses analyses in
     match Velodrome_lang.Parser.parse_file file with
     | exception Velodrome_lang.Parser.Parse_error (m, l, c) ->
       Format.eprintf "%s: %a@." file Velodrome_lang.Parser.pp_error (m, l, c);
@@ -266,8 +284,7 @@ let check_cmd =
       | Ok () ->
         let names = program.Velodrome_sim.Ast.names in
         let backends =
-          List.filter_map (mk_backend names) analyses
-          |> apply_spec (load_spec spec) names
+          make_backends analyses names |> apply_spec (load_spec spec) names
         in
         let config =
           {
@@ -1298,14 +1315,14 @@ let load_trace file =
       exit 2
     | Ok () -> (names, trace))
 
-(* Like mk_backend, but the optimized engine is built explicitly so the
-   --stats reporter can probe its live happens-before node count. *)
-let mk_stream_backends names analyses =
+(* Like make_backends, but the optimized engine is built explicitly so
+   the --stats reporter can probe its live happens-before node count. *)
+let make_stream_backends analyses names =
   let probe = ref None in
   let backends =
-    List.filter_map
+    List.map
       (function
-        | "velodrome" ->
+        | "velodrome", _ ->
           let eng = Velodrome_core.Engine.create names in
           probe :=
             Some (fun () -> Velodrome_core.Engine.nodes_live eng);
@@ -1319,13 +1336,8 @@ let mk_stream_backends names analyses =
             let finish = Velodrome_core.Engine.finish
             let warnings = Velodrome_core.Engine.warnings
           end in
-          Some (Backend.make (module E) names)
-        | a -> (
-          match mk_backend names a with
-          | Some b -> Some b
-          | None ->
-            Printf.eprintf "unknown analysis %S (ignored)\n" a;
-            None))
+          Backend.make (module E) names
+        | _, make -> make names)
       analyses
   in
   (backends, !probe)
@@ -1386,11 +1398,12 @@ let check_trace_cmd =
              events.")
   in
   let run file analyses stream stats fmt =
+    let analyses = resolve_analyses analyses in
     if stream then begin
       match
         Velodrome_stream.Source.with_file file (fun src ->
             let names = src.Velodrome_stream.Source.names in
-            let backends, live_nodes = mk_stream_backends names analyses in
+            let backends, live_nodes = make_stream_backends analyses names in
             let progress = Option.map (fun _ -> print_stats) stats in
             match
               Velodrome_stream.Driver.run ?progress ?every:stats ?live_nodes
@@ -1431,7 +1444,7 @@ let check_trace_cmd =
     end
     else begin
       let names, trace = load_trace file in
-      let backends = List.filter_map (mk_backend names) analyses in
+      let backends = make_backends analyses names in
       let warnings =
         Warning.dedup_by_label (Backend.run_trace backends trace)
       in
@@ -1717,27 +1730,8 @@ let serve_cmd =
       & info [ "stats" ]
           ~doc:"Report per-stream timings and a pool summary to stderr.")
   in
-  let serve_analyses_arg =
-    Arg.(
-      value
-      & opt (list string) [ "velodrome" ]
-      & info [ "analysis"; "a"; "backend" ] ~docv:"LIST"
-          ~doc:
-            "Comma-separated back-ends: velodrome, velodrome-basic, aero, \
-             atomizer, eraser, hb, fasttrack, 2pl, 2pl-strict, empty \
-             (default: velodrome).")
-  in
   let run targets analyses jobs queue stats fmt =
-    (* Reject unknown back-ends before spawning anything. *)
-    let scratch = Velodrome_trace.Names.create () in
-    List.iter
-      (fun a ->
-        match mk_backend scratch a with
-        | Some _ -> ()
-        | None ->
-          Printf.eprintf "unknown analysis %S\n" a;
-          exit 2)
-      analyses;
+    let analyses = resolve_analyses analyses in
     let paths =
       match Serve.expand_targets targets with
       | Ok paths -> paths
@@ -1745,7 +1739,7 @@ let serve_cmd =
         Printf.eprintf "%s\n" msg;
         exit 2
     in
-    let backends names = List.filter_map (mk_backend names) analyses in
+    let backends = make_backends analyses in
     let total = List.length paths in
     (* Per-stream output is byte-identical to [check-trace FILE] (same
        renderer, same JSON objects), and the ordered merge emits it in
@@ -1831,8 +1825,9 @@ let serve_cmd =
           domains, with deterministic, submission-ordered output."
        ~exits)
     Term.(
-      const run $ targets $ serve_analyses_arg $ jobs_arg $ queue_arg
-      $ stats_flag $ format_arg)
+      const run $ targets
+      $ analyses_arg_with [ "velodrome" ]
+      $ jobs_arg $ queue_arg $ stats_flag $ format_arg)
 
 let () =
   let doc = "sound and complete dynamic atomicity checking (PLDI 2008)" in

@@ -1,6 +1,7 @@
 open Velodrome_trace
 open Velodrome_trace.Ids
 open Velodrome_analysis
+module Vclock = Velodrome_util.Vclock
 
 (* A transaction is an epoch (tid, ord) plus the clock of everything it
    happens-after. The clock is mutable and shared by reference from the

@@ -13,7 +13,7 @@ val tid : t -> int
 val clock : t -> int
 val is_none : t -> bool
 
-val leq_vc : t -> Vclock.t -> bool
+val leq_vc : t -> Velodrome_util.Vclock.t -> bool
 (** [leq_vc e c] iff the epoch's event happens-before (or is) the point
     described by clock [c]: [clock e <= c(tid e)]. [none] ≤ everything. *)
 

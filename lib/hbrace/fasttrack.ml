@@ -1,6 +1,7 @@
 open Velodrome_trace
 open Velodrome_trace.Ids
 open Velodrome_analysis
+module Vclock = Velodrome_util.Vclock
 
 type read_state =
   | Read_epoch of Epoch.t  (** reads so far are totally ordered *)

@@ -1,6 +1,7 @@
 open Velodrome_trace
 open Velodrome_trace.Ids
 open Velodrome_analysis
+module Vclock = Velodrome_util.Vclock
 
 type var_clocks = { reads : Vclock.t; writes : Vclock.t }
 

@@ -38,8 +38,8 @@ type ctx = {
    then reads [pub] under its own pair lock [pair.(t-1)]. Every
    conflicting access pair thus shares one pair lock — statically
    race-free under the pairwise rule — yet no single lock covers all
-   sites, so the legacy global-guard rule cannot prove the enclosing
-   atomic blocks. The flag handshake orders every write before any read
+   sites, so a whole-variable common-guard rule could not prove the
+   enclosing atomic blocks. The flag handshake orders every write before any read
    on every schedule, which keeps the dynamic race detectors (Eraser,
    happens-before) quiet too. *)
 type publish = {

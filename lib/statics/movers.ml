@@ -4,8 +4,6 @@ open Velodrome_trace.Ids
 module IntSet = Set.Make (Int)
 module IntMap = Map.Make (Int)
 
-type rule = Pairwise | Global_guard
-
 type why_both =
   | Guarded of Lock.t
   | Thread_local
@@ -29,7 +27,6 @@ type var_facts = {
 }
 
 type t = {
-  rule : rule;
   names : Names.t;
   races : Races.t;
   vars : var_facts IntMap.t;
@@ -43,9 +40,8 @@ let var_facts t x =
 
 (* Pass 1: global per-variable facts — which threads access it, whether it
    is ever written, and the intersection of must-locksets over all access
-   sites. Under the pairwise rule these only pick the most specific
-   both-mover witness; under the legacy global rule they ARE the
-   classification. *)
+   sites. These only pick the most specific both-mover witness; the
+   classification itself is pairwise ({!classify_access}). *)
 let collect_vars ~dead cfg locksets =
   let vars = ref IntMap.empty in
   Cfg.iter_nodes
@@ -83,36 +79,26 @@ let global_guard (f : var_facts) =
   | _ -> None
 
 (* The most specific both-mover witness for a race-free access, so the
-   legacy explanations survive where they still apply and only the newly
-   provable class reads "race-free". *)
+   coarse explanations survive where they apply and only accesses proved
+   by pair-freedom alone read "race-free". *)
 let why_race_free (f : var_facts) =
   if IntSet.cardinal f.threads <= 1 then Thread_local
   else if not f.written then Read_only
   else match global_guard f with Some g -> Guarded g | None -> Race_free
 
-let classify_access rule names races vars (n : Cfg.node) x =
+(* Atomizer's rule verbatim: an access is a both-mover exactly when it
+   is race-free, i.e. it appears in no static race pair. *)
+let classify_access names races vars (n : Cfg.node) x =
   let f =
     Option.value ~default:empty_facts (IntMap.find_opt (Var.to_int x) vars)
   in
   if Names.is_volatile names x then Non Volatile_access
   else
-    match rule with
-    | Pairwise -> (
-      (* Atomizer's rule verbatim: an access is a both-mover exactly when
-         it is race-free, i.e. it appears in no static race pair. *)
-      match Races.witness races n.Cfg.site with
-      | Some p -> Non (Racy (Races.other_end p n.Cfg.site).Races.site)
-      | None -> Both (why_race_free f))
-    | Global_guard ->
-      if IntSet.cardinal f.threads <= 1 then Both Thread_local
-      else if not f.written then Both Read_only
-      else (
-        match global_guard f with
-        | Some g -> Both (Guarded g)
-        | None -> Non Unguarded)
+    match Races.witness races n.Cfg.site with
+    | Some p -> Non (Racy (Races.other_end p n.Cfg.site).Races.site)
+    | None -> Both (why_race_free f)
 
-let analyze ?(rule = Pairwise) ?(dead = fun (_ : Cfg.site) -> false) names
-    cfg locksets races =
+let analyze ?(dead = fun (_ : Cfg.site) -> false) names cfg locksets races =
   let vars = collect_vars ~dead cfg locksets in
   let by_site = Hashtbl.create 256 in
   Cfg.iter_nodes
@@ -123,7 +109,7 @@ let analyze ?(rule = Pairwise) ?(dead = fun (_ : Cfg.site) -> false) names
       let record k = Hashtbl.replace by_site site k in
       match n.Cfg.eff with
       | Cfg.Read x | Cfg.Write x ->
-        record (classify_access rule names races vars n x)
+        record (classify_access names races vars n x)
       | Cfg.Acquire m ->
         record
           (if Lockset.depth_before locksets n.Cfg.id m >= 1 then
@@ -136,7 +122,7 @@ let analyze ?(rule = Pairwise) ?(dead = fun (_ : Cfg.site) -> false) names
            else Left)
       | Cfg.Enter _ | Cfg.Exit _ | Cfg.Silent -> ())
     cfg;
-  { rule; names; races; vars; by_site }
+  { names; races; vars; by_site }
 
 let at_site t (site : Cfg.site) =
   Hashtbl.find_opt t.by_site (site.Cfg.thread, site.Cfg.path)
@@ -144,11 +130,11 @@ let at_site t (site : Cfg.site) =
 (* A variable whose accesses can be elided inside statically proved
    blocks without changing any back-end's verdict elsewhere: every access
    is either confined to one thread (no cross-thread conflict edges at
-   all), performed under a program-wide common guard, or — pairwise rule
-   only — free of race pairs altogether, in which case every conflicting
-   access pair shares some lock whose acquire/release events (which the
-   filter keeps) already order the accesses against each other exactly as
-   the elided communication edges would. Read-only variables are proof
+   all), performed under a program-wide common guard, or free of race
+   pairs altogether, in which case every conflicting access pair shares
+   some lock whose acquire/release events (which the filter keeps)
+   already order the accesses against each other exactly as the elided
+   communication edges would. Read-only variables are proof
    material but deliberately NOT suppressible: lockset back-ends
    (Eraser's state machine, the Atomizer's embedded oracle) do observe
    lock-free reads of them, and eliding those would perturb verdicts on
@@ -159,7 +145,7 @@ let suppressible t x =
   | Some f ->
     IntSet.cardinal f.threads <= 1
     || Option.is_some (global_guard f)
-    || t.rule = Pairwise && f.written
+    || f.written
        && (not (Names.is_volatile t.names x))
        && not (Races.racy_var t.races x)
 

@@ -1,25 +1,18 @@
 (** Lipton mover classification of every observable operation site.
 
-    Lock operations classify as before: an acquire is a {e right}-mover,
-    a release a {e left}-mover, re-entrant ones (definite depth from the
-    {!Lockset} dataflow) both-movers. Shared accesses now follow
-    Atomizer's race-freedom condition {e per site}, driven by the
-    pairwise {!Races} relation:
-
-    - under the default {!Pairwise} rule a non-volatile access is a
-      {e both}-mover iff it appears in {b no} static race pair. This
-      strictly subsumes the legacy thread-local / read-only /
-      globally-guarded conditions (each implies pair-freedom) and newly
-      proves sites like the guarded reads of a variable whose only
-      unsynchronized accesses are reads in some other thread, or
-      single-writer variables protected by per-reader-pair distinct
-      locks. The [why_both] witness keeps the most specific legacy
-      explanation and falls back to [Race_free] for the new class; a
-      racy access carries the opposing site as its [Racy] witness.
-    - the legacy {!Global_guard} rule (a variable is a both-mover only
-      when thread-local, read-only, or guarded by one common lock at
-      every access program-wide) is kept for precision-delta
-      measurement and comparison benches.
+    An acquire is a {e right}-mover, a release a {e left}-mover,
+    re-entrant ones (definite depth from the {!Lockset} dataflow)
+    both-movers. Shared accesses follow Atomizer's race-freedom
+    condition {e per site}, driven by the pairwise {!Races} relation: a
+    non-volatile access is a {e both}-mover iff it appears in {b no}
+    static race pair. This strictly subsumes the thread-local /
+    read-only / globally-guarded conditions (each implies pair-freedom)
+    and also proves sites like the guarded reads of a variable whose
+    only unsynchronized accesses are reads in some other thread, or
+    single-writer variables protected by per-reader-pair distinct locks.
+    The [why_both] witness keeps the most specific of those explanations
+    and falls back to [Race_free] otherwise; a racy access carries the
+    opposing site as its [Racy] witness.
 
     Race pairs over-approximate true races ({!Races}), so both-mover
     claims hold on every execution — what {!Reduce}'s [Proved_atomic]
@@ -29,8 +22,6 @@ open Velodrome_trace
 open Velodrome_trace.Ids
 
 module IntSet : Set.S with type elt = int
-
-type rule = Pairwise | Global_guard
 
 type why_both =
   | Guarded of Lock.t  (** witness guard (the smallest-id common lock) *)
@@ -43,7 +34,7 @@ type why_both =
 
 type why_non =
   | Volatile_access
-  | Unguarded  (** legacy rule only, and the conservative default *)
+  | Unguarded  (** the conservative default for a site with no class *)
   | Racy of Cfg.site  (** the opposing end of a witnessing race pair *)
 
 type klass = Both of why_both | Right | Left | Non of why_non
@@ -57,14 +48,13 @@ type var_facts = {
 type t
 
 val analyze :
-  ?rule:rule ->
   ?dead:(Cfg.site -> bool) ->
   Names.t ->
   Cfg.t ->
   Lockset.t ->
   Races.t ->
   t
-(** [rule] defaults to {!Pairwise}. [dead] marks statically-dead sites
+(** [dead] marks statically-dead sites
     from the {!Values} pass: dead accesses neither pollute the per-var
     thread/write facts nor receive a class, so a variable whose only
     cross-thread accesses are dead reclassifies as thread-local and a
@@ -79,8 +69,8 @@ val var_facts : t -> Var.t -> var_facts
 val suppressible : t -> Var.t -> bool
 (** True when accesses to the variable may be elided inside proved blocks
     without changing any back-end's warnings elsewhere: the variable is
-    thread-local, consistently guarded, or (pairwise rule) written but
-    free of race pairs — every conflicting pair then shares a lock whose
+    thread-local, consistently guarded, or written but free of race
+    pairs — every conflicting pair then shares a lock whose
     kept acquire/release events subsume the elided ordering edges.
     Read-only is excluded — see the implementation note. *)
 

@@ -32,7 +32,7 @@ type t = {
   lipton_ids : IntSet.t;
 }
 
-let analyze ?(rule = Movers.Pairwise) ?(values = true) (p : Ast.program) =
+let analyze ?(values = true) (p : Ast.program) =
   let names = p.Ast.names in
   let cfg = Cfg.of_program p in
   let vals = if values then Some (Values.analyze p) else None in
@@ -44,7 +44,7 @@ let analyze ?(rule = Movers.Pairwise) ?(values = true) (p : Ast.program) =
   let locksets = Lockset.analyze ~dead cfg in
   let mhp = Mhp.analyze ~dead cfg in
   let races = Races.analyze ~dead names cfg locksets mhp in
-  let movers = Movers.analyze ~rule ~dead names cfg locksets races in
+  let movers = Movers.analyze ~dead names cfg locksets races in
   let occs = Reduce.occurrences ~dead names movers p in
   let graph = Txgraph.build names cfg locksets mhp occs in
   let by_label = Hashtbl.create 16 in

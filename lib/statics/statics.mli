@@ -46,16 +46,14 @@ type block = {
 
 type t
 
-val analyze : ?rule:Movers.rule -> ?values:bool -> Velodrome_sim.Ast.program -> t
-(** [rule] defaults to {!Movers.Pairwise}; pass {!Movers.Global_guard} to
-    reproduce the legacy whole-variable common-lock classification for
-    precision-delta comparisons. [values] (default [true]) runs the
-    tid-specialized {!Values} abstract interpretation first and threads
-    its dead-site set through every downstream pass — locksets stop
-    merging over infeasible arms, may-happen-in-parallel and race
-    detection skip dead accesses, movers reclassify sites whose racy
-    partner died, and the conflict graph drops edges incident to dead
-    sites. Pass [false] for the unsharpened legacy pipeline. *)
+val analyze : ?values:bool -> Velodrome_sim.Ast.program -> t
+(** [values] (default [true]) runs the tid-specialized {!Values}
+    abstract interpretation first and threads its dead-site set through
+    every downstream pass — locksets stop merging over infeasible arms,
+    may-happen-in-parallel and race detection skip dead accesses, movers
+    reclassify sites whose racy partner died, and the conflict graph
+    drops edges incident to dead sites. Pass [false] for the unsharpened
+    legacy pipeline. *)
 
 val blocks : t -> block list
 

@@ -307,6 +307,82 @@ let test_predict_latent_progen () =
   check Alcotest.bool "scan not blamed by the observation" false
     (List.mem "gen.lat.scan" blamed_names)
 
+(* The predictive-atomicity study at smoke size: the 18 workloads at
+   Small plus 30 generated programs. Every emitted prediction must
+   re-certify when replayed from its schedule, and one round-robin
+   observation plus its predictions must find strictly more unique
+   violating blocks than the adversarial-scheduler baseline (Atomizer-
+   guided pausing, one run per seed in [1; 2]). *)
+module SSet = Set.Make (String)
+
+let adversarial_blamed program seeds =
+  let names = program.Ast.names in
+  List.fold_left
+    (fun acc seed ->
+      let res =
+        Velodrome_harness.Common.run_once ~seed ~adversarial:true program
+          (fun n ->
+            [
+              Velodrome_analysis.Backend.make
+                (Velodrome_atomizer.Atomizer.backend ())
+                n;
+              Velodrome_analysis.Backend.make
+                (Velodrome_core.Engine.backend ())
+                n;
+            ])
+      in
+      List.fold_left
+        (fun acc (w : Velodrome_analysis.Warning.t) ->
+          if w.analysis = "velodrome" && w.blamed then
+            match Velodrome_harness.Common.label_of_warning names w with
+            | Some l -> SSet.add l acc
+            | None -> acc
+          else acc)
+        acc res.Run.warnings)
+    SSet.empty seeds
+
+let test_predict_study () =
+  let module Workload = Velodrome_workloads.Workload in
+  let programs =
+    List.map (fun w -> w.Workload.build Workload.Small) Workload.all
+    @ List.init 30 (fun k -> Progen.generate (Rng.create (k + 1)))
+  in
+  let uncertified, adversarial, rr_plus_predicted =
+    List.fold_left
+      (fun (unc, adv, rr) program ->
+        let t = Predict.run program (Statics.analyze program) in
+        let preds = Predict.predictions t in
+        let unc =
+          unc
+          + List.length
+              (List.filter
+                 (fun (pr : Predict.prediction) ->
+                   Result.is_error
+                     (Predict.replay_and_certify program pr.label
+                        pr.plan.Plan.waypoints))
+                 preds)
+        in
+        let observed =
+          SSet.of_list
+            (List.map
+               (Names.label_name program.Ast.names)
+               (Predict.observed_blamed t))
+        in
+        let predicted =
+          SSet.of_list (List.map (fun (pr : Predict.prediction) -> pr.name) preds)
+        in
+        ( unc,
+          adv + SSet.cardinal (adversarial_blamed program [ 1; 2 ]),
+          rr + SSet.cardinal (SSet.union observed predicted) ))
+      (0, 0, 0) programs
+  in
+  check Alcotest.int "no uncertified prediction" 0 uncertified;
+  if rr_plus_predicted <= adversarial then
+    Alcotest.failf
+      "no strict dominance: round-robin + predicted %d unique blocks <= \
+       adversarial %d"
+      rr_plus_predicted adversarial
+
 let suite =
   ( "predict",
     [
@@ -332,4 +408,6 @@ let suite =
         test_predict_write_skew;
       Alcotest.test_case "predict: latent progen family" `Quick
         test_predict_latent_progen;
+      Alcotest.test_case "predict: study beats the adversarial baseline"
+        `Quick test_predict_study;
     ] )

@@ -219,11 +219,11 @@ let test_races_ignore_volatile () =
 
 (* --- movers ----------------------------------------------------------------- *)
 
-let movers_of ?rule p =
+let movers_of p =
   let cfg = Cfg.of_program p in
   let ls = Lockset.analyze cfg in
   let mhp = Mhp.analyze cfg in
-  Movers.analyze ?rule p.Ast.names cfg ls (Races.analyze p.Ast.names cfg ls mhp)
+  Movers.analyze p.Ast.names cfg ls (Races.analyze p.Ast.names cfg ls mhp)
 
 let klass_at p mv cfg name kind =
   let n =
@@ -257,11 +257,7 @@ let test_mover_classes () =
     | Movers.Non (Movers.Racy _) -> true
     | _ -> false);
   check Alcotest.bool "volatile is non-mover" true
-    (klass_at p mv cfg "w" `W = Movers.Non Movers.Volatile_access);
-  (* The legacy rule still reports the coarse witness. *)
-  let mv_g = movers_of ~rule:Movers.Global_guard p in
-  check Alcotest.bool "u is unguarded under the global rule" true
-    (klass_at p mv_g cfg "u" `W = Movers.Non Movers.Unguarded)
+    (klass_at p mv cfg "w" `W = Movers.Non Movers.Volatile_access)
 
 let test_mover_thread_local () =
   let p = parse "var p; var u; thread { p = 1; } thread { u = 1; }" in
@@ -272,7 +268,7 @@ let test_mover_thread_local () =
 
 let test_mover_race_free () =
   (* The pairwise rule proves the single-writer/many-reader shape that
-     has no global guard; the legacy rule cannot. *)
+     has no global guard. *)
   let p = parse pairwise_free_src in
   let cfg = Cfg.of_program p in
   let mv = movers_of p in
@@ -284,13 +280,7 @@ let test_mover_race_free () =
     (Movers.at_site mv write_node.Cfg.site
     = Some (Movers.Both Movers.Race_free));
   check Alcotest.bool "race-free written var is suppressible" true
-    (Movers.suppressible mv x);
-  let mv_g = movers_of ~rule:Movers.Global_guard p in
-  check Alcotest.bool "global rule keeps it a non-mover" true
-    (Movers.at_site mv_g write_node.Cfg.site
-    = Some (Movers.Non Movers.Unguarded));
-  check Alcotest.bool "not suppressible under the global rule" false
-    (Movers.suppressible mv_g x)
+    (Movers.suppressible mv x)
 
 let test_mover_per_site () =
   (* Per-site precision: one variable, a guarded reader and a bare
@@ -758,23 +748,17 @@ let test_workloads_analyze () =
     (Statics.proved_count multiset < Statics.block_count multiset)
 
 let test_handoff_precision () =
-  (* The acceptance example for the pairwise rule: the handoff workload
-     is fully proved pairwise yet completely unprovable under the legacy
-     global-guard rule, because the payload has per-reader pair locks and
-     no common guard. *)
+  (* The acceptance example for the pairwise rule: the handoff payload
+     has per-reader pair locks and no common guard, yet the workload is
+     fully proved because no access pair races. *)
   let program =
     (Option.get (Workload.find "handoff")).Workload.build Workload.Small
   in
   let st = Statics.analyze program in
-  let st_global = Statics.analyze ~rule:Movers.Global_guard program in
   check Alcotest.int "handoff has no race pairs" 0
     (Statics.race_pair_count st);
   check Alcotest.int "pairwise proves both methods"
-    (Statics.block_count st) (Statics.proved_count st);
-  (* The mover-rule delta is about Lipton precision only: cycle-freedom
-     is rule-independent and may well prove what Global_guard cannot. *)
-  check Alcotest.int "global rule lipton-proves neither" 0
-    (Statics.proved_lipton_count st_global)
+    (Statics.block_count st) (Statics.proved_count st)
 
 (* --- generated programs ------------------------------------------------------ *)
 

@@ -9,16 +9,32 @@ type t = {
   tid : Tid.t option;
   label : Label.t option;
   var : Var.t option;
-  message : string;
+  message : string Lazy.t;
   dot : string option;
+  graph : string Lazy.t option;
   index : int;
   blamed : bool;
   refuted : Label.t list;
 }
 
-let make ~analysis ~kind ?tid ?label ?var ?dot ?(blamed = false)
-    ?(refuted = []) ~index message =
-  { analysis; kind; tid; label; var; message; dot; index; blamed; refuted }
+let make ~analysis ~kind ?tid ?label ?var ?(blamed = false) ?(refuted = [])
+    ~index message =
+  {
+    analysis;
+    kind;
+    tid;
+    label;
+    var;
+    message = Lazy.from_val message;
+    dot = None;
+    graph = None;
+    index;
+    blamed;
+    refuted;
+  }
+
+let message w = Lazy.force w.message
+let graph w = Option.map Lazy.force w.graph
 
 let kind_to_string = function
   | Atomicity_violation -> "atomicity-violation"
@@ -38,7 +54,7 @@ let pp names ppf w =
     | None -> ""
   in
   Format.fprintf ppf "%s: %s%s%s at #%d: %s" w.analysis
-    (kind_to_string w.kind) label var w.index w.message
+    (kind_to_string w.kind) label var w.index (message w)
 
 (* The JSON projection the CLI prints for check-trace and serve; field
    order is part of the pinned output. *)
@@ -64,7 +80,7 @@ let to_json names w =
             List (List.map (fun l -> String (Names.label_name names l)) ls)
           );
         ])
-    @ [ ("message", String w.message) ])
+    @ [ ("message", String (message w)) ])
 
 let dedup_by_label ws =
   let seen = Hashtbl.create 16 in

@@ -25,8 +25,15 @@ type t = {
       (** blamed atomic block / method; [None] when blame could not be
           assigned to a particular block *)
   var : Var.t option;  (** variable involved, for race reports *)
-  message : string;
-  dot : string option;  (** rendered error graph, when available *)
+  message : string Lazy.t;
+      (** rendered on first read; read it with {!message} *)
+  dot : string option;
+      (** always [None]: no back-end renders an error graph eagerly any
+          more. The engine's graphs are rendered on demand by {!graph}.
+          The field stays for readers that still match on it. *)
+  graph : string Lazy.t option;
+      (** the error graph in dot form, rendered on first read; read it
+          with {!graph} *)
   index : int;  (** event index at which the warning fired *)
   blamed : bool;
       (** true when blame analysis pinned a specific non-self-serializable
@@ -44,12 +51,21 @@ val make :
   ?tid:Tid.t ->
   ?label:Label.t ->
   ?var:Var.t ->
-  ?dot:string ->
   ?blamed:bool ->
   ?refuted:Label.t list ->
   index:int ->
   string ->
   t
+(** A warning with a ready message and no error graph. *)
+
+(** The lazy fields are forced by whichever domain reads them first, and
+    only the domain that built a warning may read it while it can still
+    be unforced: two domains forcing one lazy value at once raise
+    [Lazy.Undefined]. serve renders each stream's warnings inside the
+    worker domain that checked it, and only strings leave that domain. *)
+
+val message : t -> string
+val graph : t -> string option
 
 val pp : Names.t -> Format.formatter -> t -> unit
 

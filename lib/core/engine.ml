@@ -3,9 +3,9 @@ open Velodrome_trace.Ids
 open Velodrome_analysis
 open Velodrome_util
 
-type config = { merge : bool; record_graphs : bool }
+type config = { merge : bool }
 
-let default_config = { merge = true; record_graphs = true }
+let default_config = { merge = true }
 
 (* The open-block stack lives in a pair of parallel int arrays (label,
    begin timestamp; index 0 = outermost) so Begin/End never cons. *)
@@ -27,8 +27,22 @@ type var_state = {
   mutable nreads : int;
 }
 
-(* Structural dedup key, built only once a cycle has been detected. *)
-type report_key = Blamed of int | Unblamed of (int * int) list
+(* The cycle an event reports, copied out of the pool's path buffer as
+   soon as it is found, since a later search of the same event overwrites
+   that buffer. Node [i] is [Pool.path_node i]; [ops.(i)] induced the path
+   edge from node [i] to node [i + 1]. The arrays only grow. *)
+type chosen = {
+  mutable found : int;  (** cycles detected by the current event *)
+  mutable increasing : bool;
+  mutable root_ts : int;
+      (** the timestamp at which the current transaction's outgoing edge
+          on the cycle leaves it: the root operation *)
+  mutable len : int;  (** nodes on the cycle *)
+  mutable slots : int array;
+  mutable tids : int array;
+  mutable labels : int array;
+  mutable ops : Op.t array;
+}
 
 type t = {
   names : Names.t;
@@ -38,15 +52,17 @@ type t = {
   locks : Step.t Vec.t;  (** dense, indexed by interned lock id *)
   vars : var_state Vec.t;  (** dense, indexed by interned var id *)
   mutable warnings_rev : Warning.t list;
-  reported : (report_key, unit) Hashtbl.t;
+  reported_labels : Bitset.t;  (** blamed labels already reported *)
+  reported_sigs : (int, int array list) Hashtbl.t;
+      (** node signatures [tid0; label0; tid1; ...] of the unblamed cycles
+          already reported, bucketed by {!signature_hash} *)
   mutable cycles : int;
   mutable blamed : int;
   mutable first_error : int option;
-  mutable pending : Pool.cycle list;
-      (** cycles detected while processing the current event; one event may
-          reject several edges (e.g. a write conflicting with both the
-          recorded reads and the recorded write), and blame should prefer
-          an increasing cycle among them *)
+  chosen : chosen;
+      (** one event may reject several edges (e.g. a write conflicting with
+          both the recorded reads and the recorded write); blame prefers
+          the first increasing cycle among them, else the first one *)
   mutable mbuf : Step.t array;  (** merge scratch: live predecessor steps *)
   mutable mlen : int;
 }
@@ -63,11 +79,22 @@ let create ?(config = default_config) names =
     locks = Vec.create ();
     vars = Vec.create ();
     warnings_rev = [];
-    reported = Hashtbl.create 16;
+    reported_labels = Bitset.create ();
+    reported_sigs = Hashtbl.create 16;
     cycles = 0;
     blamed = 0;
     first_error = None;
-    pending = [];
+    chosen =
+      {
+        found = 0;
+        increasing = false;
+        root_ts = 0;
+        len = 0;
+        slots = [||];
+        tids = [||];
+        labels = [||];
+        ops = [||];
+      };
     mbuf = Array.make 8 Step.bottom;
     mlen = 0;
   }
@@ -148,205 +175,211 @@ let stack_push st label ts =
   Array.unsafe_set st.stk_ts st.depth ts;
   st.depth <- st.depth + 1
 
-(* The open-block stack as the (label, begin ts) list the blame logic
-   wants: innermost first. Cold path only. *)
-let stack_innermost_first st =
-  let rec go i acc =
-    if i >= st.depth then acc
-    else go (i + 1) ((st.stk_labels.(i), st.stk_ts.(i)) :: acc)
-  in
-  go 0 []
-
 (* --- Error reporting --------------------------------------------------- *)
-
-let cycle_nodes (c : Pool.cycle) =
-  match c.Pool.path with
-  | [] -> []
-  | (first, _, _) :: _ ->
-    first :: List.map (fun (_, _, dst) -> dst) c.Pool.path
-
-let graph_of_cycle (c : Pool.cycle) ~closing_op ~blamed_slot =
-  let nodes =
-    List.map
-      (fun n ->
-        {
-          Error_graph.id = Pool.slot n;
-          tid = Pool.diag_tid n;
-          label = Pool.diag_label n;
-          blamed = Some (Pool.slot n) = blamed_slot;
-        })
-      (cycle_nodes c)
-  in
-  let edges =
-    List.map
-      (fun (src, (e : Pool.edge), dst) ->
-        {
-          Error_graph.src = Pool.slot src;
-          dst = Pool.slot dst;
-          op = e.Pool.diag_op;
-          closing = false;
-        })
-      c.Pool.path
-  in
-  let closing =
-    match (List.rev c.Pool.path, c.Pool.path) with
-    | (_, _, last) :: _, (first, _, _) :: _ ->
-      [
-        {
-          Error_graph.src = Pool.slot last;
-          dst = Pool.slot first;
-          op = Some closing_op;
-          closing = true;
-        };
-      ]
-    | _ -> []
-  in
-  { Error_graph.nodes; edges = edges @ closing }
 
 (* A cycle [v -> n1 -> ... -> u -> v] is increasing when every node other
    than v enters on a timestamp no later than it leaves on (Section 4.3).
-   [path] runs v ⇒* u; the closing edge u -> v carries
-   [closing_tail_ts]/[closing_head_ts]. *)
-let is_increasing (c : Pool.cycle) =
-  let rec go = function
-    | [] -> true
-    | [ (_, (e : Pool.edge), _u) ] ->
-      (* u's incoming edge is [e]; its outgoing edge is the closing one. *)
-      e.Pool.head_ts <= c.Pool.closing_tail_ts
-    | (_, (e1 : Pool.edge), _) :: (((_, e2, _) :: _) as rest) ->
-      e1.Pool.head_ts <= (e2 : Pool.edge).Pool.tail_ts && go rest
-  in
-  go c.Pool.path
+   The pool's path runs v ⇒* u; the closing edge u -> v leaves u at
+   [Pool.closing_tail_ts]. [into] is the path edge entering node [i]. *)
+let rec increasing_from pool (into : Pool.edge) i =
+  if i = Pool.path_length pool then into.head_ts <= Pool.closing_tail_ts pool
+  else
+    let out = Pool.path_edge pool i in
+    into.head_ts <= out.tail_ts && increasing_from pool out (i + 1)
 
-let emit t w key =
-  if not (Hashtbl.mem t.reported key) then begin
-    Hashtbl.replace t.reported key ();
-    t.warnings_rev <- w :: t.warnings_rev
+let choose c pool increasing =
+  let k = Pool.path_length pool in
+  if k + 1 > Array.length c.slots then begin
+    let cap = 2 * (k + 1) in
+    c.slots <- Array.make cap 0;
+    c.tids <- Array.make cap 0;
+    c.labels <- Array.make cap 0;
+    c.ops <- Array.make cap (Pool.path_edge pool 0).Pool.diag_op
+  end;
+  c.increasing <- increasing;
+  c.root_ts <- (Pool.path_edge pool 0).Pool.tail_ts;
+  c.len <- k + 1;
+  for i = 0 to k do
+    let n = Pool.path_node pool i in
+    Array.unsafe_set c.slots i (Pool.slot n);
+    Array.unsafe_set c.tids i (Pool.diag_tid n);
+    Array.unsafe_set c.labels i (Pool.diag_label n);
+    if i < k then Array.unsafe_set c.ops i (Pool.path_edge pool i).Pool.diag_op
+  done
+
+(* Called for each cycle the event closes, the rejected edge being
+   [src -> dst]. Only the event's chosen cycle matters, so once an
+   increasing one is chosen the later ones need no path search; the path
+   is copied only when it becomes the chosen one. The warning is decided
+   once per event by [flush_cycle]. *)
+let report_cycle t ~src ~dst =
+  let c = t.chosen in
+  if c.found = 0 || not c.increasing then begin
+    (* The ancestor invariant guarantees a live path exists. *)
+    if not (Pool.find_path t.pool ~src:dst ~dst:src) then assert false;
+    let increasing = increasing_from t.pool (Pool.path_edge t.pool 0) 1 in
+    if c.found = 0 || increasing then choose c t.pool increasing
+  end;
+  c.found <- c.found + 1
+
+let rec signature_hash c i h =
+  if i >= c.len then h
+  else
+    signature_hash c (i + 1)
+      ((((h * 31) + Array.unsafe_get c.tids i) * 31)
+      + Array.unsafe_get c.labels i)
+
+let rec signature_matches c (s : int array) i =
+  i >= c.len
+  || Array.unsafe_get s (2 * i) = Array.unsafe_get c.tids i
+     && Array.unsafe_get s ((2 * i) + 1) = Array.unsafe_get c.labels i
+     && signature_matches c s (i + 1)
+
+let rec signature_mem c = function
+  | [] -> false
+  | s :: rest ->
+    (Array.length s = 2 * c.len && signature_matches c s 0)
+    || signature_mem c rest
+
+(* Record the chosen cycle's (tid, label) node signature; [false] when an
+   unblamed cycle with that signature was already reported. Allocates only
+   for a new signature. *)
+let add_signature t =
+  let c = t.chosen in
+  let h = signature_hash c 0 c.len in
+  let bucket =
+    match Hashtbl.find t.reported_sigs h with
+    | b -> b
+    | exception Not_found -> []
+  in
+  if signature_mem c bucket then false
+  else begin
+    let s =
+      Array.init (2 * c.len) (fun j ->
+          if j land 1 = 0 then c.tids.(j / 2) else c.labels.(j / 2))
+    in
+    Hashtbl.replace t.reported_sigs h (s :: bucket);
+    true
   end
 
-(* Queue a detected cycle; the warning is built once per event by
-   [flush_pending], which prefers an increasing cycle when the event
-   produced several. *)
-let report_cycle t _st _e (c : Pool.cycle) = t.pending <- c :: t.pending
+(* An increasing cycle refutes every block on the current stack that
+   contains both its root operation (at [root_ts]) and the target
+   operation. A pseudo-block (label -1) wraps a unary transaction in
+   no-merge mode; unary transactions are trivially self-serializable and
+   never blamed. Begin timestamps grow with depth, so the refuted blocks
+   are the labelled ones before the first block that began after the root
+   operation. This is the stack index of the outermost one, searching from
+   [i], or -1 when there is none. *)
+let rec outermost_refuted st ~root_ts i =
+  if i >= st.depth || Array.unsafe_get st.stk_ts i > root_ts then -1
+  else if Array.unsafe_get st.stk_labels i >= 0 then i
+  else outermost_refuted st ~root_ts (i + 1)
 
-let emit_cycle_warning t st (e : Event.t) (c : Pool.cycle) =
-  let increasing = is_increasing c in
-  (* Root operation: the timestamp at which the current transaction's
-     outgoing edge on the cycle leaves it. *)
-  let root_ts =
-    match c.Pool.path with
-    | (_, edge, _) :: _ -> edge.Pool.tail_ts
-    | [] -> c.Pool.closing_tail_ts
-  in
-  let stack = stack_innermost_first st in
-  let refuted =
-    if increasing then
-      List.filter (fun (_, begin_ts) -> begin_ts <= root_ts) stack
-    else []
-  in
-  (* A pseudo-block (label -1) wraps a unary transaction in no-merge mode;
-     unary transactions are trivially self-serializable and never blamed. *)
-  let refuted = List.filter (fun (l, _) -> l >= 0) refuted in
-  let blamed = refuted <> [] in
-  if blamed then t.blamed <- t.blamed + 1;
+(* Build the warning for a new cycle: a compact snapshot now, the message
+   and dot graph only when someone reads them. *)
+let cycle_warning t st (e : Event.t) ~outer ~label =
+  let c = t.chosen in
+  let blamed = outer >= 0 in
   (* The outermost refuted block is the method we report (inner refuted
      blocks are mentioned; deeper, non-refuted blocks stay silent). *)
-  let outermost = List.rev refuted in
-  let primary_label =
-    match outermost with
-    | (l, _) :: _ when l >= 0 -> Some (Label.of_int l)
-    | _ -> (
-      (* Unblamed: attribute the report to the current outermost block so
-         the user can find it, but mark it unblamed. *)
-      match List.rev stack with
-      | (l, _) :: _ when l >= 0 -> Some (Label.of_int l)
-      | _ -> None)
+  let refuted =
+    if not blamed then []
+    else begin
+      let acc = ref [] in
+      for i = st.depth - 1 downto outer do
+        let l = st.stk_labels.(i) in
+        if l >= 0 && st.stk_ts.(i) <= c.root_ts then
+          acc := Label.of_int l :: !acc
+      done;
+      !acc
+    end
   in
-  let key =
-    match (blamed, primary_label) with
-    | true, Some l -> Blamed (Label.to_int l)
-    | _ ->
-      (* Distinct unblamed cycles are distinguished by their node
-         signature so repeats do not pile up. *)
-      Unblamed
-        (List.map
-           (fun n -> (Pool.diag_tid n, Pool.diag_label n))
-           (cycle_nodes c))
+  let n = c.len in
+  let graph =
+    {
+      Error_graph.slots = Array.sub c.slots 0 n;
+      tids = Array.sub c.tids 0 n;
+      labels = Array.sub c.labels 0 n;
+      (* Node 0, the rejected edge's destination, is the current
+         transaction: the one blame refutes. *)
+      blamed = (if blamed then 0 else -1);
+      ops = Array.init n (fun i -> if i < n - 1 then c.ops.(i) else e.Event.op);
+    }
   in
-  if Hashtbl.mem t.reported key then ()
-  else begin
-  let blamed_slot =
-    match (blamed, st.cur) with
-    | true, Some n -> Some (Pool.slot n)
-    | _ -> None
-  in
-  let graph = graph_of_cycle c ~closing_op:e.Event.op ~blamed_slot in
-  let dot =
-    if t.config.record_graphs then
-      let name =
-        match primary_label with
-        | Some l -> Names.label_name t.names l
-        | None -> "cycle"
-      in
-      Some (Error_graph.to_dot t.names ~name graph)
-    else None
-  in
+  let names = t.names in
+  let label = if label >= 0 then Some (Label.of_int label) else None in
   let message =
-    let summary = Format.asprintf "%a" (Error_graph.pp_summary t.names) graph in
-    let verdict =
-      if blamed then
-        Printf.sprintf "not self-serializable (refuted blocks: %s)"
-          (String.concat ", "
-             (List.map
-                (fun (l, _) ->
-                  if l >= 0 then Names.label_name t.names (Label.of_int l)
-                  else "(unary)")
-                outermost))
-      else "non-serializable trace (no single transaction blamed)"
-    in
-    Printf.sprintf "%s; cycle: %s" verdict summary
+    lazy
+      (let verdict =
+         if blamed then
+           Printf.sprintf "not self-serializable (refuted blocks: %s)"
+             (String.concat ", " (List.map (Names.label_name names) refuted))
+         else "non-serializable trace (no single transaction blamed)"
+       in
+       Printf.sprintf "%s; cycle: %s" verdict
+         (Format.asprintf "%a" (Error_graph.pp_summary names) graph))
   in
-  let warning =
-    Warning.make
-      ~analysis:(analysis_name t.config)
-      ~kind:Warning.Atomicity_violation ~tid:(Op.tid e.Event.op)
-      ?label:primary_label ?dot ~blamed
-      ~refuted:(List.map (fun (l, _) -> Label.of_int l) outermost)
-      ~index:e.Event.index message
+  let dot =
+    lazy
+      (let name =
+         match label with Some l -> Names.label_name names l | None -> "cycle"
+       in
+       Error_graph.to_dot names ~name graph)
   in
-  emit t warning key
-  end
+  {
+    Warning.analysis = analysis_name t.config;
+    kind = Warning.Atomicity_violation;
+    tid = Some (Op.tid e.Event.op);
+    label;
+    var = None;
+    message;
+    dot = None;
+    graph = Some dot;
+    index = e.Event.index;
+    blamed;
+    refuted;
+  }
 
-let flush_pending t st (e : Event.t) =
-  match t.pending with
-  | [] -> ()
-  | cycles ->
-    t.pending <- [];
-    t.cycles <- t.cycles + 1;
-    if t.first_error = None then t.first_error <- Some e.Event.index;
-    let cycles = List.rev cycles in
-    let chosen =
-      match List.find_opt is_increasing cycles with
-      | Some c -> c
-      | None -> List.hd cycles
-    in
-    emit_cycle_warning t st e chosen
+(* Decide the event's warning from its chosen cycle. A cycle whose dedup
+   key — the blamed label, or the unblamed (tid, label) node signature —
+   was already reported allocates nothing. *)
+let flush_cycle t st (e : Event.t) =
+  t.cycles <- t.cycles + 1;
+  if t.first_error = None then t.first_error <- Some e.Event.index;
+  let c = t.chosen in
+  c.found <- 0;
+  let outer =
+    if c.increasing then outermost_refuted st ~root_ts:c.root_ts 0 else -1
+  in
+  let blamed = outer >= 0 in
+  if blamed then t.blamed <- t.blamed + 1;
+  (* Unblamed: attribute the report to the current outermost block so the
+     user can find it, but mark it unblamed. *)
+  let label =
+    if blamed then st.stk_labels.(outer)
+    else if st.depth > 0 then st.stk_labels.(0)
+    else -1
+  in
+  let fresh =
+    if blamed then Bitset.add t.reported_labels label else add_signature t
+  in
+  if fresh then
+    t.warnings_rev <- cycle_warning t st e ~outer ~label :: t.warnings_rev
 
 (* --- Edges -------------------------------------------------------------- *)
 
 (* Add an edge from a recorded step to the current transaction's new step;
    report a cycle if one would form. Stale and ⊥ steps contribute
    nothing. *)
-let edge_from t st ~src ~dst ~dst_ts (e : Event.t) =
+let edge_from t ~src ~dst ~dst_ts (e : Event.t) =
   if Pool.step_live t.pool src then
+    let src_node = Pool.node_of_step t.pool src in
     match
-      Pool.add_edge_op t.pool
-        ~src:(Pool.node_of_step t.pool src)
-        ~src_ts:(Step.ts_unchecked src) ~dst ~dst_ts ~op:e.Event.op
-        ~index:e.Event.index
+      Pool.add_edge t.pool ~src:src_node ~src_ts:(Step.ts_unchecked src)
+        ~dst ~dst_ts ~op:e.Event.op ~index:e.Event.index
     with
     | `Ok | `Self -> ()
-    | `Cycle c -> report_cycle t st e c
+    | `Cycle -> report_cycle t ~src:src_node ~dst
 
 (* --- Merge (Figure 4) --------------------------------------------------- *)
 
@@ -398,13 +431,13 @@ let merge_finish t (e : Event.t) =
       for i = 0 to t.mlen - 1 do
         let s = Array.unsafe_get t.mbuf i in
         match
-          Pool.add_edge_op t.pool
+          Pool.add_edge t.pool
             ~src:(Pool.node_of_step t.pool s)
             ~src_ts:(Step.ts_unchecked s) ~dst:n ~dst_ts:ts ~op:e.Event.op
             ~index:e.Event.index
         with
         | `Ok | `Self -> ()
-        | `Cycle _ ->
+        | `Cycle ->
           (* Impossible: [n] is fresh and has no outgoing edges. *)
           assert false
       done;
@@ -441,7 +474,7 @@ let outside_naive t st (e : Event.t) body =
   in
   Pool.set_active t.pool n true;
   let ts0 = Pool.fresh_ts n in
-  edge_from t st ~src:st.l ~dst:n ~dst_ts:ts0 e;
+  edge_from t ~src:st.l ~dst:n ~dst_ts:ts0 e;
   st.l <- Pool.step_of n ~ts:ts0;
   st.cur <- Some n;
   st.depth <- 0;
@@ -457,7 +490,7 @@ let outside_naive t st (e : Event.t) body =
 
 let do_acquire t st n (e : Event.t) m =
   let ts = inside_step st n in
-  edge_from t st ~src:(lock_step t m) ~dst:n ~dst_ts:ts e
+  edge_from t ~src:(lock_step t m) ~dst:n ~dst_ts:ts e
 
 let do_release t st n m =
   ignore (inside_step st n);
@@ -466,16 +499,16 @@ let do_release t st n m =
 let do_read t st n (e : Event.t) x =
   let vs = var_state t x in
   let ts = inside_step st n in
-  edge_from t st ~src:vs.w ~dst:n ~dst_ts:ts e;
+  edge_from t ~src:vs.w ~dst:n ~dst_ts:ts e;
   set_read vs (Tid.to_int (Op.tid e.Event.op)) st.l
 
 let do_write t st n (e : Event.t) x =
   let vs = var_state t x in
   let ts = inside_step st n in
   for i = 0 to vs.nreads - 1 do
-    edge_from t st ~src:(Array.unsafe_get vs.read_steps i) ~dst:n ~dst_ts:ts e
+    edge_from t ~src:(Array.unsafe_get vs.read_steps i) ~dst:n ~dst_ts:ts e
   done;
-  edge_from t st ~src:vs.w ~dst:n ~dst_ts:ts e;
+  edge_from t ~src:vs.w ~dst:n ~dst_ts:ts e;
   vs.w <- st.l
 
 let dispatch t st (e : Event.t) =
@@ -491,7 +524,7 @@ let dispatch t st (e : Event.t) =
       in
       Pool.set_active t.pool n true;
       let ts = Pool.fresh_ts n in
-      edge_from t st ~src:st.l ~dst:n ~dst_ts:ts e;
+      edge_from t ~src:st.l ~dst:n ~dst_ts:ts e;
       st.cur <- Some n;
       st.depth <- 0;
       stack_push st (Label.to_int l) ts;
@@ -573,7 +606,7 @@ let dispatch t st (e : Event.t) =
 let on_event t (e : Event.t) =
   let st = thread t (Op.tid e.Event.op) in
   dispatch t st e;
-  match t.pending with [] -> () | _ -> flush_pending t st e
+  if t.chosen.found > 0 then flush_cycle t st e
 
 let finish _ = ()
 

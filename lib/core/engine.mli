@@ -41,7 +41,6 @@ open Velodrome_analysis
 
 type config = {
   merge : bool;  (** Figure 4 outside rules (default) vs naive wrapping *)
-  record_graphs : bool;  (** attach dot error graphs to warnings *)
 }
 
 val default_config : config
@@ -54,7 +53,12 @@ val finish : t -> unit
 
 val warnings : t -> Warning.t list
 (** Deduplicated: one warning per blamed label, and one per distinct
-    unblamed cycle signature. *)
+    unblamed cycle signature (the (tid, label) sequence of its nodes).
+
+    Each warning carries a compact snapshot of its cycle; its message and
+    its dot error graph ({!Warning.message}, {!Warning.graph}) are
+    rendered from that snapshot on first read. The [dot] field is always
+    [None]. A cycle whose key was already reported allocates nothing. *)
 
 val has_error : t -> bool
 (** Whether any cycle was detected — true iff the consumed trace is not

@@ -1,59 +1,51 @@
 open Velodrome_trace
 open Velodrome_util
 
-type gnode = { id : int; tid : int; label : int; blamed : bool }
-type gedge = { src : int; dst : int; op : Op.t option; closing : bool }
-type t = { nodes : gnode list; edges : gedge list }
+type t = {
+  slots : int array;
+  tids : int array;
+  labels : int array;
+  blamed : int;
+  ops : Op.t array;
+}
 
-let node_title names n =
+let node_title names g i =
   let label =
-    if n.label >= 0 then
-      Names.label_name names (Ids.Label.of_int n.label)
+    if g.labels.(i) >= 0 then
+      Names.label_name names (Ids.Label.of_int g.labels.(i))
     else "(unary)"
   in
-  Printf.sprintf "Thread %d: %s" n.tid label
-
-let op_label names = function
-  | None -> ""
-  | Some op -> Format.asprintf "%a" (Op.pp_named names) op
+  Printf.sprintf "Thread %d: %s" g.tids.(i) label
 
 let to_dot names ~name g =
+  let n = Array.length g.slots in
+  let id i = string_of_int g.slots.(i) in
   let nodes =
-    List.map
-      (fun n ->
-        {
-          Dot.id = string_of_int n.id;
-          label = node_title names n;
-          emphasized = n.blamed;
-        })
-      g.nodes
+    List.init n (fun i ->
+        { Dot.id = id i; label = node_title names g i; emphasized = i = g.blamed })
   in
   let edges =
-    List.map
-      (fun e ->
+    List.init n (fun i ->
         {
-          Dot.src = string_of_int e.src;
-          dst = string_of_int e.dst;
-          edge_label = op_label names e.op;
-          dashed = e.closing;
+          Dot.src = id i;
+          dst = id ((i + 1) mod n);
+          edge_label = Format.asprintf "%a" (Op.pp_named names) g.ops.(i);
+          dashed = i = n - 1;
         })
-      g.edges
   in
   Dot.render ~name nodes edges
 
 let pp_summary names ppf g =
-  let title id =
-    match List.find_opt (fun n -> n.id = id) g.nodes with
-    | Some n ->
-      let l =
-        if n.label >= 0 then Names.label_name names (Ids.Label.of_int n.label)
-        else "unary"
-      in
-      Printf.sprintf "%s(t%d)" l n.tid
-    | None -> Printf.sprintf "#%d" id
+  let title i =
+    let l =
+      if g.labels.(i) >= 0 then
+        Names.label_name names (Ids.Label.of_int g.labels.(i))
+      else "unary"
+    in
+    Printf.sprintf "%s(t%d)" l g.tids.(i)
   in
-  match g.edges with
-  | [] -> Format.fprintf ppf "(empty cycle)"
-  | first :: _ ->
-    List.iter (fun e -> Format.fprintf ppf "%s -> " (title e.src)) g.edges;
-    Format.fprintf ppf "%s" (title first.src)
+  if Array.length g.slots = 0 then Format.fprintf ppf "(empty cycle)"
+  else begin
+    Array.iteri (fun i _ -> Format.fprintf ppf "%s -> " (title i)) g.slots;
+    Format.fprintf ppf "%s" (title 0)
+  end

@@ -23,14 +23,8 @@ and edge = {
   dst_slot : int;
   mutable tail_ts : int;
   mutable head_ts : int;
-  mutable diag_op : Op.t option;
+  mutable diag_op : Op.t;
   mutable diag_index : int;
-}
-
-type cycle = {
-  path : (node * edge * node) list;
-  closing_tail_ts : int;
-  closing_head_ts : int;
 }
 
 type t = {
@@ -41,7 +35,15 @@ type t = {
   mutable clear_work : int;
       (** cumulative nodes visited while clearing ancestor bit-columns in
           [collect]; instrumentation for the free-cost regression test *)
-  visited : Bitset.t;  (** scratch for [find_path] *)
+  mutable path_slot : int array;
+      (** the last path [find_path] found, by slot: its start at 0, its
+          end at [path_len] *)
+  mutable path_out : int array;
+      (** [path_out.(i)]: the index, in node [i]'s out-edges, of the path
+          edge leaving it *)
+  mutable path_len : int;
+  mutable closing_tail_ts : int;
+  mutable closing_head_ts : int;
 }
 
 let create () =
@@ -51,7 +53,11 @@ let create () =
     live_count = 0;
     counter = Stats.counter ();
     clear_work = 0;
-    visited = Bitset.create ();
+    path_slot = Array.make 16 0;
+    path_out = Array.make 16 0;
+    path_len = 0;
+    closing_tail_ts = 0;
+    closing_head_ts = 0;
   }
 
 let slot n = n.slot
@@ -179,36 +185,69 @@ let sweep = maybe_collect
 let happens_before_or_eq _t a b =
   a.slot = b.slot || Bitset.mem b.ancestors a.slot
 
-let find_path t ~src:from_node ~dst:to_node =
-  (* DFS over live out-edges from [from_node] to [to_node]. *)
-  Bitset.reset t.visited;
-  let rec go n =
-    if Bitset.mem t.visited n.slot then None
-    else begin
-      Bitset.set t.visited n.slot;
-      let result = ref None in
-      (try
-         for i = 0 to Vec.length n.out - 1 do
-           let e = Vec.unsafe_get n.out i in
-           let dst = Vec.unsafe_get t.slots e.dst_slot in
-           if dst.live then
-             if dst.slot = to_node.slot then begin
-               result := Some [ (n, e, dst) ];
-               raise Exit
-             end
-             else begin
-               match go dst with
-               | Some rest ->
-                 result := Some ((n, e, dst) :: rest);
-                 raise Exit
-               | None -> ()
-             end
-         done
-       with Exit -> ());
-      !result
+let push_frame t depth slot =
+  if depth = Array.length t.path_slot then begin
+    let grow a =
+      let b = Array.make (2 * depth) 0 in
+      Array.blit a 0 b 0 depth;
+      b
+    in
+    t.path_slot <- grow t.path_slot;
+    t.path_out <- grow t.path_out
+  end;
+  Array.unsafe_set t.path_slot depth slot
+
+(* Index of [n]'s first out-edge into [dst] or one of its ancestors, or -1. *)
+let rec first_step (dst : node) (n : node) i =
+  if i >= Vec.length n.out then -1
+  else
+    let d = (Vec.unsafe_get n.out i).dst_slot in
+    if d = dst.slot || Bitset.mem dst.ancestors d then i
+    else first_step dst n (i + 1)
+
+(* Extend the path from the node at [depth] by its first out-edge into
+   [dst] or one of its ancestors. Every node the walk enters is an
+   ancestor of [dst] and so has such an edge, and the graph is acyclic, so
+   the walk reaches [dst] without ever backtracking. *)
+let rec walk t (dst : node) depth =
+  let n = Vec.unsafe_get t.slots (Array.unsafe_get t.path_slot depth) in
+  let i = first_step dst n 0 in
+  if i < 0 then false
+  else begin
+    Array.unsafe_set t.path_out depth i;
+    let d = (Vec.unsafe_get n.out i).dst_slot in
+    push_frame t (depth + 1) d;
+    if d = dst.slot then begin
+      t.path_len <- depth + 1;
+      true
     end
-  in
-  go from_node
+    else walk t dst (depth + 1)
+  end
+
+(* The path a depth-first search from [src] over live out-edges, in
+   insertion order, finds to [dst]: that search leaves each node through
+   its first out-edge whose destination can reach [dst], which is exactly
+   the edge [walk] takes, since a node other than [dst] can reach [dst]
+   iff it is in [dst]'s ancestor set. Pruning to ancestors thus turns the
+   search into a walk that visits only path nodes, and it allocates
+   nothing unless the path buffers have to grow. *)
+let find_path t ~src ~dst =
+  t.path_len <- 0;
+  push_frame t 0 src.slot;
+  walk t dst 0
+
+let path_length t = t.path_len
+
+let path_node t i =
+  if i < 0 || i > t.path_len then invalid_arg "Pool.path_node";
+  Vec.unsafe_get t.slots t.path_slot.(i)
+
+let path_edge t i =
+  if i < 0 || i >= t.path_len then invalid_arg "Pool.path_edge";
+  Vec.unsafe_get (path_node t i).out t.path_out.(i)
+
+let closing_tail_ts t = t.closing_tail_ts
+let closing_head_ts t = t.closing_head_ts
 
 (* Set bit [m_slot] in the descendant set of every node named by the bit
    pattern [x]: the fresh ancestors [m] just gained. *)
@@ -276,16 +315,13 @@ let find_out_index (n : node) dst_slot =
   in
   go 0
 
-let add_edge_diag t ~src ~src_ts ~dst ~dst_ts ~diag_op ~diag_index =
+let add_edge t ~src ~src_ts ~dst ~dst_ts ~op ~index =
   if src.slot = dst.slot then `Self
   else if Bitset.mem src.ancestors dst.slot then begin
     (* [dst ⇒* src] already holds; the new edge would close a cycle. *)
-    match find_path t ~src:dst ~dst:src with
-    | Some path ->
-      `Cycle { path; closing_tail_ts = src_ts; closing_head_ts = dst_ts }
-    | None ->
-      (* The ancestor invariant guarantees a live path exists. *)
-      assert false
+    t.closing_tail_ts <- src_ts;
+    t.closing_head_ts <- dst_ts;
+    `Cycle
   end
   else begin
     let i = find_out_index src dst.slot in
@@ -294,11 +330,8 @@ let add_edge_diag t ~src ~src_ts ~dst ~dst_ts ~diag_op ~diag_index =
       let e = Vec.unsafe_get src.out i in
       e.tail_ts <- src_ts;
       e.head_ts <- dst_ts;
-      match diag_op with
-      | Some _ ->
-        e.diag_op <- diag_op;
-        e.diag_index <- diag_index
-      | None -> ()
+      e.diag_op <- op;
+      e.diag_index <- index
     end
     else begin
       Vec.push src.out
@@ -306,23 +339,14 @@ let add_edge_diag t ~src ~src_ts ~dst ~dst_ts ~diag_op ~diag_index =
           dst_slot = dst.slot;
           tail_ts = src_ts;
           head_ts = dst_ts;
-          diag_op;
-          diag_index;
+          diag_op = op;
+          diag_index = index;
         };
       dst.refcount <- dst.refcount + 1
     end;
     push_closure t src dst;
     `Ok
   end
-
-let add_edge t ~src ~src_ts ~dst ~dst_ts ?diag () =
-  let diag_op = Option.map fst diag in
-  let diag_index = match diag with Some (_, i) -> i | None -> -1 in
-  add_edge_diag t ~src ~src_ts ~dst ~dst_ts ~diag_op ~diag_index
-
-let add_edge_op t ~src ~src_ts ~dst ~dst_ts ~op ~index =
-  add_edge_diag t ~src ~src_ts ~dst ~dst_ts ~diag_op:(Some op)
-    ~diag_index:index
 
 let live_count t = t.live_count
 let allocated t = Stats.total_increments t.counter

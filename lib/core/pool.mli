@@ -23,9 +23,10 @@
     visiting exactly the nodes that carry it, never the whole live set.
 
     Edges carry the timestamps of the operations at their tail and head —
-    the raw material for blame assignment — plus optional diagnostic
-    operations for error graphs. At most one edge is kept per ordered node
-    pair; re-adding replaces the timestamps (the paper's [⊕] on steps). *)
+    the raw material for blame assignment — plus the operation that
+    induced them, for error graphs. At most one edge is kept per ordered
+    node pair; re-adding replaces the timestamps and the operation (the
+    paper's [⊕] on steps). *)
 
 open Velodrome_trace
 
@@ -36,15 +37,8 @@ type edge = {
   dst_slot : int;  (** slot of the edge's destination node *)
   mutable tail_ts : int;
   mutable head_ts : int;
-  mutable diag_op : Op.t option;  (** operation that induced the edge *)
+  mutable diag_op : Op.t;  (** operation that induced the edge *)
   mutable diag_index : int;  (** event index of that operation *)
-}
-
-type cycle = {
-  path : (node * edge * node) list;
-      (** consecutive live edges forming the path [dst ⇒* src] *)
-  closing_tail_ts : int;
-  closing_head_ts : int;  (** the rejected edge [src -> dst] *)
 }
 
 val create : unit -> t
@@ -104,24 +98,43 @@ val add_edge :
   src_ts:int ->
   dst:node ->
   dst_ts:int ->
-  ?diag:Op.t * int ->
-  unit ->
-  [ `Ok | `Self | `Cycle of cycle ]
-(** Add [src -> dst]. [`Self] when the nodes coincide (filtered, like the
-    paper's ⊕). [`Cycle] when the edge would close a cycle; the edge is
-    not added and the offending path is returned. *)
-
-val add_edge_op :
-  t ->
-  src:node ->
-  src_ts:int ->
-  dst:node ->
-  dst_ts:int ->
   op:Op.t ->
   index:int ->
-  [ `Ok | `Self | `Cycle of cycle ]
-(** {!add_edge} with mandatory diagnostics and no optional-argument
-    boxing; the engine's per-event call. *)
+  [ `Ok | `Self | `Cycle ]
+(** Add [src -> dst], induced by operation [op] at event [index].
+    [`Self] when the nodes coincide (filtered, like the paper's ⊕).
+    [`Cycle] when the edge would close a cycle, which costs one bitset
+    test and allocates nothing; the edge is not added, and
+    [find_path t ~src:dst ~dst:src] finds the path [dst ⇒* src] it would
+    close. *)
+
+(** {2 Cycle paths}
+
+    {!find_path} leaves the path it finds in buffers the pool owns, valid
+    until its next call; reading them allocates nothing, so a caller that
+    has already reported an equivalent cycle can drop this one for
+    free. *)
+
+val find_path : t -> src:node -> dst:node -> bool
+(** The path from [src] to [dst ≠ src] that a depth-first search along
+    live out-edges, in insertion order, would find; [false] when there is
+    none. It enters only [dst]'s ancestors, so it walks straight down the
+    path and never backtracks. *)
+
+val path_length : t -> int
+(** Number of edges on the path (at least 1). *)
+
+val path_node : t -> int -> node
+(** [path_node t i] for [0 <= i <= path_length t]: node [0] is the
+    path's start, node [path_length t] its end. *)
+
+val path_edge : t -> int -> edge
+(** [path_edge t i] for [0 <= i < path_length t]: the live edge from
+    [path_node t i] to [path_node t (i + 1)]. *)
+
+val closing_tail_ts : t -> int
+val closing_head_ts : t -> int
+(** The [src_ts] and [dst_ts] of the last edge {!add_edge} rejected. *)
 
 val live_count : t -> int
 val allocated : t -> int

@@ -182,7 +182,7 @@ let trio_agrees names trace =
   A.finish a;
   let proj (w : Warning.t) =
     ( w.Warning.kind, w.Warning.tid, w.Warning.label, w.Warning.index,
-      w.Warning.message )
+      Warning.message w )
   in
   let agree =
     E.has_error e = B.has_error b

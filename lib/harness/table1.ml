@@ -21,7 +21,7 @@ type row = {
 let replay_engine ~merge ops names =
   let eng =
     Velodrome_core.Engine.create
-      ~config:{ Velodrome_core.Engine.merge; record_graphs = false }
+      ~config:{ Velodrome_core.Engine.merge }
       names
   in
   List.iteri

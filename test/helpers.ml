@@ -76,7 +76,7 @@ let project_warning (w : Warning.t) =
     Option.map Tid.to_int w.Warning.tid,
     Option.map Label.to_int w.Warning.label,
     Option.map Var.to_int w.Warning.var,
-    w.Warning.message,
+    Warning.message w,
     w.Warning.index,
     w.Warning.blamed )
 

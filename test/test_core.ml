@@ -29,6 +29,11 @@ let test_step_extremes () =
 
 (* --- Pool ----------------------------------------------------------------- *)
 
+(* The pool tests look only at the graph, not at the operation an edge
+   records. *)
+let add_edge p ~src ~src_ts ~dst ~dst_ts =
+  Pool.add_edge p ~src ~src_ts ~dst ~dst_ts ~op:(wr t0 x) ~index:0
+
 let test_pool_stale_step_detection () =
   let p = Pool.create () in
   let n = Pool.alloc p ~tid:0 ~label:0 ~event:0 in
@@ -55,7 +60,7 @@ let test_pool_refcount_keeps_alive () =
   Pool.set_active p b true;
   let tsa = Pool.fresh_ts a in
   let tsb = Pool.fresh_ts b in
-  (match Pool.add_edge p ~src:a ~src_ts:tsa ~dst:b ~dst_ts:tsb () with
+  (match add_edge p ~src:a ~src_ts:tsa ~dst:b ~dst_ts:tsb with
   | `Ok -> ()
   | _ -> Alcotest.fail "edge expected to succeed");
   (* b has an incoming edge; finishing b keeps it alive until a dies. *)
@@ -72,18 +77,19 @@ let test_pool_cycle_detected_and_rejected () =
   let b = Pool.alloc p ~tid:1 ~label:1 ~event:1 in
   Pool.set_active p a true;
   Pool.set_active p b true;
-  let e1 = Pool.add_edge p ~src:a ~src_ts:1 ~dst:b ~dst_ts:2 () in
+  let e1 = add_edge p ~src:a ~src_ts:1 ~dst:b ~dst_ts:2 in
   check bool "first edge ok" true (e1 = `Ok);
-  (match Pool.add_edge p ~src:b ~src_ts:3 ~dst:a ~dst_ts:4 () with
-  | `Cycle c ->
-    check int "path is the single edge" 1 (List.length c.Pool.path);
-    check int "closing tail" 3 c.Pool.closing_tail_ts;
-    check int "closing head" 4 c.Pool.closing_head_ts
+  (match add_edge p ~src:b ~src_ts:3 ~dst:a ~dst_ts:4 with
+  | `Cycle ->
+    check bool "path found" true (Pool.find_path p ~src:a ~dst:b);
+    check int "path is the single edge" 1 (Pool.path_length p);
+    check int "closing tail" 3 (Pool.closing_tail_ts p);
+    check int "closing head" 4 (Pool.closing_head_ts p)
   | _ -> Alcotest.fail "expected cycle");
   (* The cycle edge must not have been added: adding a -> b again is fine
      and the graph stays acyclic. *)
   check bool "still acyclic" true
-    (Pool.add_edge p ~src:a ~src_ts:5 ~dst:b ~dst_ts:6 () = `Ok)
+    (add_edge p ~src:a ~src_ts:5 ~dst:b ~dst_ts:6 = `Ok)
 
 let test_pool_transitive_cycle () =
   let p = Pool.create () in
@@ -91,10 +97,12 @@ let test_pool_transitive_cycle () =
   let b = Pool.alloc p ~tid:1 ~label:1 ~event:1 in
   let c = Pool.alloc p ~tid:2 ~label:2 ~event:2 in
   List.iter (fun n -> Pool.set_active p n true) [ a; b; c ];
-  ignore (Pool.add_edge p ~src:a ~src_ts:1 ~dst:b ~dst_ts:1 ());
-  ignore (Pool.add_edge p ~src:b ~src_ts:2 ~dst:c ~dst_ts:1 ());
-  match Pool.add_edge p ~src:c ~src_ts:2 ~dst:a ~dst_ts:2 () with
-  | `Cycle cyc -> check int "two-edge path" 2 (List.length cyc.Pool.path)
+  ignore (add_edge p ~src:a ~src_ts:1 ~dst:b ~dst_ts:1);
+  ignore (add_edge p ~src:b ~src_ts:2 ~dst:c ~dst_ts:1);
+  match add_edge p ~src:c ~src_ts:2 ~dst:a ~dst_ts:2 with
+  | `Cycle ->
+    check bool "path found" true (Pool.find_path p ~src:a ~dst:c);
+    check int "two-edge path" 2 (Pool.path_length p)
   | _ -> Alcotest.fail "expected transitive cycle"
 
 let test_pool_self_edge_filtered () =
@@ -102,7 +110,7 @@ let test_pool_self_edge_filtered () =
   let a = Pool.alloc p ~tid:0 ~label:0 ~event:0 in
   Pool.set_active p a true;
   check bool "self edge" true
-    (Pool.add_edge p ~src:a ~src_ts:1 ~dst:a ~dst_ts:2 () = `Self)
+    (add_edge p ~src:a ~src_ts:1 ~dst:a ~dst_ts:2 = `Self)
 
 (* --- Engine on concrete traces ------------------------------------------- *)
 
@@ -184,7 +192,7 @@ let test_engine_nested_blocks () =
     check bool "blamed" true w.Velodrome_analysis.Warning.blamed;
     check bool "outermost refuted label is p" true
       (w.Velodrome_analysis.Warning.label = Some p);
-    let msg = w.Velodrome_analysis.Warning.message in
+    let msg = Velodrome_analysis.Warning.message w in
     let contains needle =
       let nl = String.length needle and hl = String.length msg in
       let rec go i =
@@ -212,7 +220,7 @@ let test_engine_merge_reduces_allocation () =
   let tr = Trace.of_ops ops in
   let with_merge = run_engine tr in
   let without =
-    run_engine ~config:{ Engine.merge = false; record_graphs = false } tr
+    run_engine ~config:{ Engine.merge = false } tr
   in
   check bool "merge allocates fewer nodes" true
     (Engine.nodes_allocated with_merge < Engine.nodes_allocated without);
@@ -330,7 +338,7 @@ let verdict_engine tr = Engine.has_error (run_engine tr)
 
 let verdict_engine_nomerge tr =
   Engine.has_error
-    (run_engine ~config:{ Engine.merge = false; record_graphs = false } tr)
+    (run_engine ~config:{ Engine.merge = false } tr)
 
 let verdict_basic tr = Basic.has_error (run_basic tr)
 
@@ -499,7 +507,7 @@ let test_engine_stress () =
   in
   let tr = Gen.run (Velodrome_util.Rng.create 2024) cfg in
   let t0 = Sys.time () in
-  let eng = run_engine ~config:{ Engine.merge = true; record_graphs = false } tr in
+  let eng = run_engine ~config:{ Engine.merge = true } tr in
   let elapsed = Sys.time () -. t0 in
   check bool "bounded live nodes" true (Engine.nodes_max_alive eng <= 128);
   check bool "all collected at end" true (Engine.nodes_live eng = 0);
@@ -523,7 +531,7 @@ let clear_work_of_free k =
   let b = Pool.alloc p ~tid:1 ~label:(-1) ~event:(k + 1) in
   Pool.set_active p a true;
   Pool.set_active p b true;
-  (match Pool.add_edge p ~src:a ~src_ts:1 ~dst:b ~dst_ts:1 () with
+  (match add_edge p ~src:a ~src_ts:1 ~dst:b ~dst_ts:1 with
   | `Ok -> ()
   | _ -> Alcotest.fail "edge rejected");
   let w0 = Pool.clear_work p in
@@ -586,7 +594,7 @@ let pool_matches_reference pool =
 let trace_matches_reference tr =
   let names = Names.create () in
   let eng =
-    Engine.create ~config:{ Engine.merge = true; record_graphs = false } names
+    Engine.create ~config:{ Engine.merge = true } names
   in
   let pool = Engine.debug_pool eng in
   List.for_all
@@ -609,12 +617,95 @@ let prop_bitset_ancestors_match_reachability_dense =
        { Gen.default with threads = 4; vars = 2; locks = 1; steps = 120 })
     trace_matches_reference
 
+(* --- Guided cycle path = unguided DFS path -------------------------------- *)
+
+(* The search the pool's ancestor-guided walk replaces: depth-first over
+   every live out-edge in insertion order, with a visited set. Returns the
+   slot path [src; ...; dst]. *)
+let reference_path pool ~src ~dst =
+  let visited = Hashtbl.create 16 in
+  let rec go s =
+    if Hashtbl.mem visited s then None
+    else begin
+      Hashtbl.replace visited s ();
+      let node = Option.get (Pool.node_of_slot pool s) in
+      let rec follow = function
+        | [] -> None
+        | d :: rest -> (
+          if Pool.node_of_slot pool d = None then follow rest
+          else if d = dst then Some [ s; d ]
+          else
+            match go d with Some p -> Some (s :: p) | None -> follow rest)
+      in
+      follow (Pool.out_slots node)
+    end
+  in
+  go src
+
+(* The pool's last path, as slots, provided it is a live path: every node
+   live and every step an out-edge of the node before it. *)
+let live_path pool =
+  let k = Pool.path_length pool in
+  let node = Pool.path_node pool in
+  let step i =
+    let a = node i and b = node (i + 1) in
+    Pool.is_live a && Pool.is_live b
+    && List.mem (Pool.slot b) (Pool.out_slots a)
+    && (Pool.path_edge pool i).Pool.dst_slot = Pool.slot b
+  in
+  if k >= 1 && List.for_all step (List.init k Fun.id) then
+    Some (List.init (k + 1) (fun i -> Pool.slot (node i)))
+  else None
+
+(* After every event: the last path the engine searched for a cycle the
+   event found lies on a live path equal to the reference search's; and
+   so does the path the pool finds for every ancestor/descendant pair,
+   i.e. for every cycle an edge could close next. *)
+let trace_paths_match_reference tr =
+  let names = Names.create () in
+  let eng = Engine.create ~config:{ Engine.merge = true } names in
+  let pool = Engine.debug_pool eng in
+  let matches () =
+    match live_path pool with
+    | None -> false
+    | Some slots ->
+      let src = List.hd slots in
+      let dst = List.nth slots (List.length slots - 1) in
+      reference_path pool ~src ~dst = Some slots
+  in
+  List.for_all
+    (fun e ->
+      let before = Engine.cycles_found eng in
+      Engine.on_event eng e;
+      (Engine.cycles_found eng = before || matches ())
+      && List.for_all
+           (fun b ->
+             let nb = Option.get (Pool.node_of_slot pool b) in
+             List.for_all
+               (fun a ->
+                 let na = Option.get (Pool.node_of_slot pool a) in
+                 Pool.find_path pool ~src:na ~dst:nb && matches ())
+               (Pool.ancestor_slots nb))
+           (Pool.live_slots pool))
+    (Event.of_ops (Trace.to_list tr))
+
+let prop_guided_path_matches_dfs =
+  QCheck.Test.make ~count:300 ~name:"guided cycle path = unguided DFS path"
+    (trace_arbitrary Gen.default) trace_paths_match_reference
+
+let prop_guided_path_matches_dfs_dense =
+  QCheck.Test.make ~count:100
+    ~name:"guided cycle path = unguided DFS path (dense, recycled slots)"
+    (trace_arbitrary
+       { Gen.default with threads = 4; vars = 2; locks = 1; steps = 120 })
+    trace_paths_match_reference
+
 (* --- Allocation-flat no-warning path --------------------------------------- *)
 
 let bytes_for_replay events =
   let names = Names.create () in
   let eng =
-    Engine.create ~config:{ Engine.merge = true; record_graphs = false } names
+    Engine.create ~config:{ Engine.merge = true } names
   in
   let b0 = Gc.allocated_bytes () in
   Array.iter (Engine.on_event eng) events;
@@ -646,6 +737,37 @@ let test_engine_allocation_flat () =
     (Printf.sprintf "marginal bytes/event stays constant (%.1f)" marginal)
     true
     (marginal < 64.0)
+
+(* --- Allocation-flat duplicate cycles ------------------------------------- *)
+
+(* One blamed cycle, repeated: t0's block reads x, t1 overwrites x, and t0
+   writes it back. Every repetition closes a cycle that blames l0 again,
+   so only the first builds a warning; the rest must find the cycle's path
+   and check its dedup key without allocating. *)
+let test_engine_duplicate_cycles_allocate_nothing () =
+  let iter_ops _ = [ bg t0 l0; rd t0 x; wr t1 x; wr t0 x; en t0 ] in
+  let events n =
+    Array.of_list (Event.of_ops (List.concat_map iter_ops (List.init n Fun.id)))
+  in
+  let replay events =
+    let eng = Engine.create (Names.create ()) in
+    let b0 = Gc.allocated_bytes () in
+    Array.iter (Engine.on_event eng) events;
+    let b1 = Gc.allocated_bytes () in
+    check int "one cycle per repetition" (Array.length events / 5)
+      (Engine.cycles_found eng);
+    check int "one warning" 1 (List.length (Engine.warnings eng));
+    b1 -. b0
+  in
+  let e1 = events 2_000 and e2 = events 4_000 in
+  let b1 = replay e1 in
+  let b2 = replay e2 in
+  let marginal =
+    (b2 -. b1) /. float_of_int (Array.length e2 - Array.length e1)
+  in
+  check bool
+    (Printf.sprintf "marginal bytes/event of duplicate cycles (%.1f)" marginal)
+    true (marginal < 16.0)
 
 let suite =
   ( "core",
@@ -693,7 +815,11 @@ let suite =
       Alcotest.test_case "pool free cost flat" `Quick test_pool_free_cost_flat;
       QCheck_alcotest.to_alcotest prop_bitset_ancestors_match_reachability;
       QCheck_alcotest.to_alcotest prop_bitset_ancestors_match_reachability_dense;
+      QCheck_alcotest.to_alcotest prop_guided_path_matches_dfs;
+      QCheck_alcotest.to_alcotest prop_guided_path_matches_dfs_dense;
       Alcotest.test_case "engine allocation flat" `Quick
         test_engine_allocation_flat;
+      Alcotest.test_case "duplicate cycles allocate nothing" `Quick
+        test_engine_duplicate_cycles_allocate_nothing;
       Alcotest.test_case "engine stress" `Slow test_engine_stress;
     ] )
